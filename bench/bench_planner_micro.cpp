@@ -455,6 +455,43 @@ void BM_DriftTracking(benchmark::State& state, bool enabled) {
 BENCHMARK_CAPTURE(BM_DriftTracking, off, false)->UseRealTime();
 BENCHMARK_CAPTURE(BM_DriftTracking, on, true)->UseRealTime();
 
+/// Serving-loop scaling on a plan-cache-hot stream: four app scenes repeated
+/// in order, one request every 150 ms (below the pipeline's capacity, so the
+/// backlog stays bounded).  After the four cold plans every window is a
+/// cache hit, so this times the loop itself — key building, slot binding,
+/// the streaming DES and the per-request finish pass.  That work is linear
+/// in the stream; BigO reports the fitted exponent.
+void BM_OnlineStream(benchmark::State& state) {
+  static const ModelId kScenes[4][4] = {
+      {ModelId::kYOLOv4, ModelId::kFaceNet, ModelId::kAgeGenderNet, ModelId::kViT},
+      {ModelId::kViT, ModelId::kGPT2Decoder, ModelId::kFaceNet, ModelId::kMobileNetV2},
+      {ModelId::kYOLOv4, ModelId::kBERT, ModelId::kMobileNetV2, ModelId::kSqueezeNet},
+      {ModelId::kResNet50, ModelId::kSqueezeNet, ModelId::kMobileNetV2, ModelId::kGoogLeNet},
+  };
+  const auto requests = static_cast<std::size_t>(state.range(0));
+  const Soc soc = Soc::kirin990();
+  std::vector<OnlineRequest> stream;
+  stream.reserve(requests);
+  for (std::size_t i = 0; i < requests; ++i) {
+    stream.push_back(OnlineRequest{&zoo_model(kScenes[(i / 4) % 4][i % 4]),
+                                   static_cast<double>(i) * 150.0});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_online(soc, stream, {}));
+  }
+  state.SetComplexityN(static_cast<benchmark::IterationCount>(requests));
+  state.counters["windows_per_s"] = benchmark::Counter(
+      static_cast<double>(requests / 4) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_OnlineStream)
+    ->ArgName("requests")
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Arg(16000)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
+
 // ---- warm-start replanning --------------------------------------------------
 
 /// Cold vs warm replan of a window one model away from a cached one.  The

@@ -5,9 +5,12 @@
 
 namespace h2p {
 
+Model::Model() : content_hash_(compute_content_hash()) {}
+
 Model::Model(std::string name, std::vector<Layer> layers)
     : name_(std::move(name)), layers_(std::move(layers)) {
   build_prefix_sums();
+  content_hash_ = compute_content_hash();
 }
 
 void Model::build_prefix_sums() {
@@ -86,7 +89,7 @@ bool Model::fully_npu_supported() const {
   return first_npu_unsupported(0, layers_.size() - 1) == layers_.size();
 }
 
-std::uint64_t Model::content_hash() const {
+std::uint64_t Model::compute_content_hash() const {
   // One record per node, in order: the layer fields, then the input edge
   // list (a chain: node i consumes node i-1).  GraphModel::topology_hash
   // emits the identical record stream for a linear graph.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,7 +16,7 @@ namespace h2p {
 /// lets Algorithm 1 run in O(nK).
 class Model {
  public:
-  Model() = default;
+  Model();
   Model(std::string name, std::vector<Layer> layers);
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -57,11 +58,14 @@ class Model {
   /// chain edge i-1 -> i.  Equal to `GraphModel::topology_hash()` of the
   /// same layers authored as a linear graph, so chain and graph entry
   /// points resolve to the same plan-cache entries.  The name is NOT part
-  /// of the hash (cache keys carry it separately).
-  [[nodiscard]] std::uint64_t content_hash() const;
+  /// of the hash (cache keys carry it separately).  Computed once at
+  /// construction (a Model is immutable), so plan-cache keys built every
+  /// serving window do not rehash every layer.
+  [[nodiscard]] std::uint64_t content_hash() const { return content_hash_; }
 
  private:
   void build_prefix_sums();
+  [[nodiscard]] std::uint64_t compute_content_hash() const;
 
   std::string name_;
   std::vector<Layer> layers_;
@@ -69,6 +73,7 @@ class Model {
   std::vector<double> prefix_flops_;
   std::vector<double> prefix_params_;
   std::vector<double> prefix_traffic_;
+  std::uint64_t content_hash_ = 0;
 };
 
 /// Appendix-D batching: a batched request behaves like the same network

@@ -50,6 +50,8 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
   static obs::Counter& c_tasks = obs::Registry::global().counter("des.tasks");
   static obs::Counter& c_migrations =
       obs::Registry::global().counter("des.migrations");
+  static obs::Counter& c_scan_steps =
+      obs::Registry::global().counter("des.scan_steps");
   c_tasks.inc(n);
   obs::Span des_span("des.simulate");
   des_span.arg("tasks", static_cast<double>(n));
@@ -217,6 +219,8 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     scratch.queue_size[best] = sz + 1;
     scratch.queue_cursor[best] = std::min(scratch.queue_cursor[best], idx);
     scratch.proc_startable[best] = 1;
+    // The insert shifted this queue off the table's positions.
+    scratch.queue_bounded[best] = 0;
   };
   auto sweep_permanent_faults = [&] {
     if (faults == nullptr) return;
@@ -260,6 +264,9 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     }
   };
 
+  // Queue positions the start scan inspects — a deterministic work count,
+  // published once per call.
+  std::uint64_t scan_steps = 0;
   auto start_eligible = [&] {
     for (std::size_t p = 0; p < P; ++p) {
       if (proc_running[p] >= 0) continue;
@@ -268,8 +275,17 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
       const std::uint32_t* qd = scratch.queue_data.data() + scratch.queue_base[p];
       std::uint32_t& cur = scratch.queue_cursor[p];
       while (cur < scratch.queue_size[p] && done[qd[cur]]) ++cur;
+      // Arrival frontier: past the first position whose suffix minimum of
+      // earliest-ready times lies in the future, no task can be ready, so
+      // the first ready task found is the same as a full scan's.
+      const double* ready_min =
+          scratch.queue_bounded[p]
+              ? table.queue_ready_min.data() + table.proc_offsets[p]
+              : nullptr;
       std::int64_t best = -1;
       for (std::uint32_t pos = cur; pos < scratch.queue_size[p]; ++pos) {
+        ++scan_steps;
+        if (ready_min != nullptr && ready_min[pos] > now + eps) break;
         if (task_ready(qd[pos])) {
           best = qd[pos];
           break;  // sorted: first ready is min (model, seq)
@@ -441,6 +457,7 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     for (std::size_t ri = w; ri < running_size; ++ri) run_remaining[ri] = 0.0;
     running_size = w;
   }
+  c_scan_steps.inc(scan_steps);
 }
 
 Timeline simulate(const Soc& soc, std::span<const SimTask> tasks,

@@ -1,6 +1,7 @@
 #include "sim/queueing.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/planner.h"
 #include "exec/compiled_plan.h"
@@ -52,17 +53,19 @@ QueueStats pipelined_queueing(const StaticEvaluator& eval,
   const Timeline timeline = simulate(eval.soc(), tasks, {});
   stats.completion_ms.resize(m, 0.0);
   stats.queueing_ms.resize(m, 0.0);
+  stats.makespan_ms = timeline.makespan_ms();
+  const std::vector<ModelSpan> spans = timeline.model_spans();
   for (std::size_t slot = 0; slot < compiled.num_models; ++slot) {
     const std::size_t original = compiled.original_index[slot];
     const double arrive = original < arrival_ms.size() ? arrival_ms[original] : 0.0;
-    double first_start = timeline.makespan_ms();
-    for (const TaskRecord& t : timeline.tasks) {
-      if (t.model_idx == slot && t.seq_in_model == 0) first_start = t.start_ms;
-    }
-    stats.completion_ms[original] = timeline.model_finish_ms(slot) - arrive;
+    const ModelSpan span = slot < spans.size() ? spans[slot] : ModelSpan{};
+    // A slot without a lead task is charged as if it started at the end.
+    const double first_start = std::isfinite(span.lead_start_ms)
+                                   ? span.lead_start_ms
+                                   : stats.makespan_ms;
+    stats.completion_ms[original] = span.finish_ms - arrive;
     stats.queueing_ms[original] = std::max(0.0, first_start - arrive);
   }
-  stats.makespan_ms = timeline.makespan_ms();
   return stats;
 }
 

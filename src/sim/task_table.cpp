@@ -45,6 +45,8 @@ void TaskTable::clear() {
   arrival_order.clear();
   succ_offsets.clear();
   succ_edges.clear();
+  ready_ms.clear();
+  queue_ready_min.clear();
 }
 
 void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
@@ -214,6 +216,13 @@ void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
               });
   }
 
+  if (arrival_order.empty()) {
+    ready_ms.clear();
+    queue_ready_min.clear();
+  } else {
+    build_ready_bounds();
+  }
+
   // Zero-pad the double columns to a lane multiple (vector kernels sweep
   // whole lanes; the padding is dead weight the logical accessors never
   // expose).  Last step: everything above reads the logical extent.
@@ -223,6 +232,37 @@ void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
   intensity.resize(np, 0.0);
   arrival_ms.resize(np, 0.0);
   dram_bytes.resize(np, 0.0);
+}
+
+void TaskTable::build_ready_bounds() {
+  const std::size_t n = n_;
+  // Kahn's order over the forward adjacency: a task's in-degree is its
+  // explicit dep count (duplicates included, as in succ_edges) or 1 for a
+  // chain task with a predecessor.
+  ready_ms.assign(arrival_ms.begin(), arrival_ms.begin() + n);
+  indegree_.resize(n);
+  topo_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    indegree_[i] = explicit_deps[i] ? dep_offsets[i + 1] - dep_offsets[i]
+                                    : (pred[i] >= 0 ? 1u : 0u);
+    if (indegree_[i] == 0) topo_.push_back(static_cast<std::uint32_t>(i));
+  }
+  for (std::size_t k = 0; k < topo_.size(); ++k) {
+    const std::uint32_t i = topo_[k];
+    for (const std::uint32_t s : succs_of(i)) {
+      ready_ms[s] = std::max(ready_ms[s], ready_ms[i]);
+      if (--indegree_[s] == 0) topo_.push_back(s);
+    }
+  }
+
+  queue_ready_min.resize(n);
+  for (std::size_t p = 0; p < num_procs; ++p) {
+    double lo = kInf;
+    for (std::size_t pos = proc_offsets[p + 1]; pos > proc_offsets[p]; --pos) {
+      lo = std::min(lo, ready_ms[proc_order[pos - 1]]);
+      queue_ready_min[pos - 1] = lo;
+    }
+  }
 }
 
 void TaskTable::build_from_tasks(std::span<const SimTask> tasks,
@@ -472,10 +512,10 @@ void SimScratch::prepare(const TaskTable& table, std::size_t P,
            2 * sizeof(std::uint8_t)) +
       P * n * sizeof(std::uint32_t) +
       P * (4 * sizeof(std::uint32_t) + sizeof(std::int32_t) +
-           2 * sizeof(std::uint8_t)) +
+           3 * sizeof(std::uint8_t)) +
       Pp * (4 * sizeof(double) + sizeof(std::uint32_t)) +
       P * Pp * sizeof(double) + (Pp * Pp + 2 * Pp) * sizeof(double) +
-      24 * util::MonotonicArena::kAlignment;
+      25 * util::MonotonicArena::kAlignment;
   // Same (n, P) as the previous prepare -> every arena span is already
   // carved at the same address (the carve is deterministic), so skip the
   // reserve + twenty-odd bump allocations and go straight to
@@ -503,6 +543,7 @@ void SimScratch::prepare(const TaskTable& table, std::size_t P,
     started = arena_.make_span<std::uint8_t>(n);
     proc_dead = arena_.make_span<std::uint8_t>(P);
     proc_startable = arena_.make_span<std::uint8_t>(P);
+    queue_bounded = arena_.make_span<std::uint8_t>(P);
     prepared_n_ = n;
     prepared_P_ = P;
     prepared_private_ = false;
@@ -573,6 +614,10 @@ void SimScratch::prepare(const TaskTable& table, std::size_t P,
   std::fill(started.begin(), started.end(), std::uint8_t{0});
   std::fill(proc_dead.begin(), proc_dead.end(), std::uint8_t{0});
   std::fill(proc_startable.begin(), proc_startable.end(), std::uint8_t{1});
+  for (std::size_t p = 0; p < P; ++p) {
+    queue_bounded[p] =
+        p < table.num_procs && !table.queue_ready_min.empty() ? 1 : 0;
+  }
   std::fill(proc_running.begin(), proc_running.end(), std::int32_t{-1});
   std::fill(queue_cursor.begin(), queue_cursor.end(), std::uint32_t{0});
   // The masked lane kernels read whole padded spans: keep the dead slots at

@@ -34,7 +34,10 @@ namespace sim {
 ///    identical tie-breaking to the AoS path);
 ///  - `proc_order`/`proc_offsets`: per-processor dispatch queues pre-sorted
 ///    by (model, seq, index);
-///  - `arrival_order`: strictly-future arrivals in ascending order.
+///  - `arrival_order`: strictly-future arrivals in ascending order;
+///  - `ready_ms`/`queue_ready_min`: per-task earliest-ready times and their
+///    per-queue suffix minima, which stop the start scan at the arrival
+///    frontier.
 ///
 /// The `build_from_*` members reuse the columns' capacity, so a thread-local
 /// table re-lowered every candidate allocates nothing after warm-up.
@@ -81,6 +84,16 @@ class TaskTable {
   // scan uses it to wake only the processors a retirement could unblock.
   std::vector<std::uint32_t> succ_offsets; // size()+1
   std::vector<std::uint32_t> succ_edges;
+  // Earliest-ready time per task: its own arrival, raised to the
+  // earliest-ready time of every chain predecessor and explicit dependency
+  // (a lower bound on when the task can first start — tasks on a dependency
+  // cycle keep a partial, still-lower bound).  `queue_ready_min` runs
+  // parallel to `proc_order` and holds, at each position, the minimum
+  // ready_ms over that position and the rest of its processor's queue: once
+  // it exceeds the clock, nothing further down the queue can start.  Both
+  // are empty when arrival_order is (every task is released at t = 0).
+  std::vector<double> ready_ms;
+  std::vector<double> queue_ready_min;
 
   [[nodiscard]] std::span<const std::uint32_t> succs_of(std::size_t i) const {
     return {succ_edges.data() + succ_offsets[i],
@@ -117,6 +130,7 @@ class TaskTable {
 
  private:
   void finalize(std::size_t min_procs, std::size_t n_logical);
+  void build_ready_bounds();
 
   std::size_t n_ = 0;  // logical task count (columns are padded beyond it)
   // True iff the current derived structures came from a build_from_plan
@@ -124,6 +138,9 @@ class TaskTable {
   // structural columns are unchanged (see build_from_plan).
   bool plan_structure_ = false;
   std::size_t finalized_min_procs_ = 0;
+  // build_ready_bounds' topological-sort buffers, kept for their capacity.
+  std::vector<std::uint32_t> indegree_;
+  std::vector<std::uint32_t> topo_;
 };
 
 /// Every mutable buffer one DES evaluation needs, carved from a reusable
@@ -185,6 +202,10 @@ class SimScratch {
   // positive arrivals or an active fault script re-arm every processor each
   // event (readiness there can change without a retirement).
   std::span<std::uint8_t> proc_startable;
+  // 1 while queue p still holds exactly the table's proc_order segment, so
+  // the table's queue_ready_min bounds its start scan.  A migration insert
+  // shifts the positions and clears it for the rest of the run.
+  std::span<std::uint8_t> queue_bounded;
   std::span<std::uint32_t> pending;      // migration staging, capacity n
 
   // Dense Eq. 2 operands: `coupling` holds P rows of padded_procs doubles

@@ -26,6 +26,18 @@ double Timeline::model_finish_ms(std::size_t model_idx) const {
   return end;
 }
 
+std::vector<ModelSpan> Timeline::model_spans() const {
+  std::size_t slots = num_models;
+  for (const TaskRecord& t : tasks) slots = std::max(slots, t.model_idx + 1);
+  std::vector<ModelSpan> spans(slots);
+  for (const TaskRecord& t : tasks) {
+    ModelSpan& s = spans[t.model_idx];
+    s.finish_ms = std::max(s.finish_ms, t.end_ms);
+    if (t.seq_in_model == 0) s.lead_start_ms = t.start_ms;
+  }
+  return spans;
+}
+
 double Timeline::proc_idle_ms(std::size_t proc_idx) const {
   std::vector<const TaskRecord*> mine;
   for (const TaskRecord& t : tasks) {

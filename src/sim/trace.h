@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,16 @@ struct TaskRecord {
   [[nodiscard]] double contention_ms() const { return duration_ms() - solo_ms; }
 };
 
+/// Per-slot summary of a timeline (see Timeline::model_spans); the default
+/// value describes a slot without tasks.
+struct ModelSpan {
+  /// Start of the slot's lead (seq 0) task; with several seq-0 tasks, the
+  /// one listed last.  +inf when the slot has no seq-0 task.
+  double lead_start_ms = std::numeric_limits<double>::infinity();
+  /// Completion time: max end over the slot's tasks, 0 when it has none.
+  double finish_ms = 0.0;
+};
+
 /// Full execution trace of one simulated run.
 struct Timeline {
   std::vector<TaskRecord> tasks;
@@ -29,8 +40,13 @@ struct Timeline {
   [[nodiscard]] double makespan_ms() const;
   /// Completed inferences per second (the paper's Fig-7 throughput metric).
   [[nodiscard]] double throughput_per_s() const;
-  /// Completion time of one model (max end over its tasks).
+  /// Completion time of one model (max end over its tasks).  Scans every
+  /// task; callers wanting every slot use model_spans().
   [[nodiscard]] double model_finish_ms(std::size_t model_idx) const;
+  /// Lead start and finish of every model slot in one pass over the tasks:
+  /// entry s has finish_ms == model_finish_ms(s).  Sized to cover num_models
+  /// and every task's model_idx.
+  [[nodiscard]] std::vector<ModelSpan> model_spans() const;
   /// Measured idle time on a processor between its first and last task.
   [[nodiscard]] double proc_idle_ms(std::size_t proc_idx) const;
   /// Sum of proc_idle_ms over processors — the measured pipeline bubbles.

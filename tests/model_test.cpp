@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "models/model.h"
+#include "models/model_zoo.h"
 
 namespace h2p {
 namespace {
@@ -87,6 +88,18 @@ TEST(Model, EmptyModel) {
   EXPECT_DOUBLE_EQ(m.total_flops(), 0.0);
   EXPECT_DOUBLE_EQ(m.boundary_bytes(0), 0.0);
   EXPECT_TRUE(m.fully_npu_supported());
+}
+
+TEST(Model, ContentHashIsPinned) {
+  // Computed once at construction; the values are the plan-cache key
+  // components of every cached plan, so they must not drift.
+  EXPECT_EQ(Model().content_hash(), 0x47fe0d7eaf8e51e3ull);
+  EXPECT_EQ(Model("empty", {}).content_hash(), Model().content_hash());
+  EXPECT_EQ(zoo_model(ModelId::kResNet50).content_hash(), 0x25ef24150fa4e853ull);
+  EXPECT_EQ(zoo_model(ModelId::kBERT).content_hash(), 0xd8105ac37798e7cbull);
+  const Model copy = zoo_model(ModelId::kBERT);
+  EXPECT_EQ(copy.content_hash(), zoo_model(ModelId::kBERT).content_hash());
+  EXPECT_NE(tiny_model().content_hash(), Model().content_hash());
 }
 
 TEST(Model, MaxWorkingSet) {

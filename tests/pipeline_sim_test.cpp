@@ -279,6 +279,150 @@ TEST(TaskTable, SoAMatchesLegacyReferenceUnderFaults) {
   }
 }
 
+/// Long streams: 40–200 models whose lead tasks arrive spread far beyond
+/// their solo times, so every processor queue holds many windows that have
+/// not arrived yet — the start scan's arrival-frontier bound decides there.
+/// Arrivals jitter by more than their spacing, so queue order and arrival
+/// order disagree; some chain tasks carry a later arrival of their own.
+std::vector<SimTask> long_chain_stream(Rng& rng, std::size_t num_models,
+                                       std::size_t num_procs, bool with_alt) {
+  std::vector<SimTask> tasks;
+  for (std::size_t m = 0; m < num_models; ++m) {
+    const double lead = 30.0 * static_cast<double>(m) + rng.uniform(0.0, 75.0);
+    const std::size_t chain = 1 + rng.index(4);
+    for (std::size_t s = 0; s < chain; ++s) {
+      SimTask t;
+      t.model_idx = m;
+      t.seq_in_model = s;
+      t.proc_idx = rng.index(num_procs);
+      t.solo_ms = rng.uniform(0.5, 12.0);
+      t.sensitivity = rng.uniform(0.0, 1.0);
+      t.intensity = rng.uniform(0.0, 1.0);
+      if (s == 0) {
+        t.arrival_ms = lead;
+      } else if (rng.index(5) == 0) {
+        t.arrival_ms = lead + rng.uniform(0.0, 40.0);
+      }
+      if (with_alt) {
+        t.alt.resize(num_procs);
+        for (std::size_t q = 0; q < num_procs; ++q) {
+          t.alt[q] = SimTask::AltCost{rng.uniform(0.5, 20.0),
+                                      rng.uniform(0.0, 1.0),
+                                      rng.uniform(0.0, 1.0)};
+        }
+      }
+      tasks.push_back(t);
+    }
+  }
+  return tasks;
+}
+
+/// The DAG form of the same stream: per model a root released at its
+/// arrival, two parallel branches and a join, all on explicit edges.
+std::vector<SimTask> long_dag_stream(Rng& rng, std::size_t num_models,
+                                     std::size_t num_procs) {
+  std::vector<SimTask> tasks;
+  for (std::size_t m = 0; m < num_models; ++m) {
+    const std::size_t base = tasks.size();
+    const double arrival =
+        30.0 * static_cast<double>(m) + rng.uniform(0.0, 75.0);
+    for (std::size_t k = 0; k < 4; ++k) {
+      SimTask t;
+      t.model_idx = m;
+      t.seq_in_model = k == 0 ? 0 : (k == 3 ? 2 : 1);
+      t.proc_idx = rng.index(num_procs);
+      t.solo_ms = rng.uniform(0.5, 10.0);
+      t.sensitivity = rng.uniform(0.0, 1.0);
+      t.intensity = rng.uniform(0.0, 1.0);
+      t.explicit_deps = true;
+      if (k == 0) t.arrival_ms = arrival;
+      if (k == 1 || k == 2) t.deps = {base};
+      if (k == 3) t.deps = {base + 1, base + 2};
+      tasks.push_back(t);
+    }
+  }
+  return tasks;
+}
+
+TEST(TaskTable, SoAMatchesLegacyReferenceOnLongStreams) {
+  const Soc soc = Soc::kirin990();
+  for (const std::size_t models : {40u, 120u, 200u}) {
+    Rng rng(7100 + models);
+    const std::vector<SimTask> chain =
+        long_chain_stream(rng, models, soc.num_processors(), /*with_alt=*/false);
+    const std::vector<SimTask> dag =
+        long_dag_stream(rng, models, soc.num_processors());
+    for (const bool contention : {true, false}) {
+      SimOptions opt;
+      opt.contention = contention;
+      expect_identical(simulate(soc, chain, opt),
+                       sim::simulate_reference(soc, chain, opt));
+      expect_identical(simulate(soc, dag, opt),
+                       sim::simulate_reference(soc, dag, opt));
+    }
+  }
+}
+
+TEST(TaskTable, SoAMatchesLegacyReferenceOnLongStreamsUnderFaults) {
+  // A permanent drop-out a third of the way in migrates the dead
+  // processor's pending tasks into the survivors' queues; each insert
+  // retires that queue's scan bound for the rest of the run.
+  const Soc soc = Soc::kirin990();
+  for (const std::size_t models : {40u, 120u, 200u}) {
+    const double horizon = 30.0 * static_cast<double>(models);
+    const FaultScript faults({
+        FaultEvent{FaultKind::kDropout, 1, 0.10 * horizon, 0.10 * horizon + 40.0, 1.0},
+        FaultEvent{FaultKind::kSlowdown, 2, 0.05 * horizon, 0.5 * horizon, 0.6},
+        FaultEvent{FaultKind::kDropout, 0, horizon / 3.0, kInf, 1.0},
+    });
+    SimOptions opt;
+    opt.faults = &faults;
+    Rng rng(7300 + models);
+    const std::vector<SimTask> tasks =
+        long_chain_stream(rng, models, soc.num_processors(), /*with_alt=*/true);
+    const Timeline soa = simulate(soc, tasks, opt);
+    expect_identical(soa, sim::simulate_reference(soc, tasks, opt));
+    std::size_t migrated = 0;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (soa.tasks[i].proc_idx != tasks[i].proc_idx) ++migrated;
+    }
+    EXPECT_GT(migrated, 0u) << models << " models";
+  }
+}
+
+TEST(TaskTable, ReadyBoundsFollowArrivalsAndDependencies) {
+  const Soc soc = Soc::kirin990();
+  std::vector<SimTask> tasks = dag_tasks(soc.num_processors());
+  tasks[0].arrival_ms = 50.0;   // model 0's root
+  tasks[2].arrival_ms = 80.0;   // one of its branches
+  tasks[4].arrival_ms = 10.0;   // model 1's root
+  sim::TaskTable table;
+  table.build_from_tasks(tasks, soc.num_processors());
+  ASSERT_EQ(table.ready_ms.size(), tasks.size());
+  const std::vector<double> expected = {50.0, 50.0, 80.0, 80.0,
+                                        10.0, 10.0, 10.0, 10.0,
+                                        0.0,  0.0,  0.0,  0.0};
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(table.ready_ms[i], expected[i]) << "task " << i;
+  }
+  // Suffix minima per queue: never above the task's own bound, and
+  // non-decreasing along each queue.
+  for (std::size_t p = 0; p < table.num_procs; ++p) {
+    for (std::uint32_t pos = table.proc_offsets[p];
+         pos < table.proc_offsets[p + 1]; ++pos) {
+      EXPECT_LE(table.queue_ready_min[pos],
+                table.ready_ms[table.proc_order[pos]]);
+      if (pos + 1 < table.proc_offsets[p + 1]) {
+        EXPECT_LE(table.queue_ready_min[pos], table.queue_ready_min[pos + 1]);
+      }
+    }
+  }
+  // Released at t = 0 throughout: no bounds are built.
+  table.build_from_tasks(dag_tasks(soc.num_processors()), soc.num_processors());
+  EXPECT_TRUE(table.ready_ms.empty());
+  EXPECT_TRUE(table.queue_ready_min.empty());
+}
+
 TEST(TaskTable, FromPlanMatchesFromCompiled) {
   Fixture fx(testing_util::mixed_six());
   const PlannerReport report = Hetero2PipePlanner(*fx.eval).plan();
@@ -408,6 +552,35 @@ TEST(SimScratchReuse, AcrossChainAndDagTables) {
     const TaskRecord& join = dag1.tasks[m * 4 + 3];
     EXPECT_GE(join.start_ms, std::max(left.end_ms, right.end_ms) - 1e-9);
   }
+}
+
+TEST(SimScratchReuse, LongStreamRunsBitIdenticalAndAllocationFree) {
+  const Soc soc = Soc::kirin990();
+  Rng rng(6600);
+  const std::vector<SimTask> tasks =
+      long_chain_stream(rng, 120, soc.num_processors(), /*with_alt=*/true);
+  sim::TaskTable table;
+  table.build_from_tasks(tasks, soc.num_processors());
+  const FaultScript faults({FaultEvent{FaultKind::kDropout, 3, 900.0, kInf, 1.0}});
+  SimOptions faulted;
+  faulted.faults = &faults;
+
+  sim::SimScratch reused;
+  Timeline healthy1, faulted1, healthy2;
+  simulate(soc, table, reused, healthy1, {});
+  simulate(soc, table, reused, faulted1, faulted);
+  const std::size_t warm_bytes = reused.bytes_reserved();
+  simulate(soc, table, reused, healthy2, {});
+  simulate(soc, table, reused, faulted1, faulted);
+  EXPECT_EQ(reused.bytes_reserved(), warm_bytes);
+
+  sim::SimScratch fresh_a, fresh_b;
+  Timeline fresh_healthy, fresh_faulted;
+  simulate(soc, table, fresh_a, fresh_healthy, {});
+  simulate(soc, table, fresh_b, fresh_faulted, faulted);
+  expect_identical(healthy1, fresh_healthy);
+  expect_identical(healthy2, fresh_healthy);
+  expect_identical(faulted1, fresh_faulted);
 }
 
 TEST(SimScratchReuse, ArenaStopsGrowingAfterWarmup) {

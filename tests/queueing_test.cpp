@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "core/planner.h"
+#include "exec/compiled_plan.h"
+#include "sim/pipeline_sim.h"
 #include "sim/queueing.h"
 #include "test_helpers.h"
 
@@ -65,6 +68,42 @@ TEST(Queueing, TailRequestGainsMost) {
   const double piped_max =
       *std::max_element(piped.completion_ms.begin(), piped.completion_ms.end());
   EXPECT_LT(piped_max, serial_max);
+}
+
+TEST(Queueing, PipelinedMatchesPerSlotTimelineScans) {
+  // pipelined_queueing reads every slot's lead start and finish from one
+  // pass over the timeline; rebuild the same timeline here and derive both
+  // with per-slot scans over every task.  Staggered arrivals make the lead
+  // starts and finishes differ per slot.
+  Fixture fx(testing_util::mixed_six());
+  std::vector<double> arrivals;
+  for (std::size_t i = 0; i < fx.models.size(); ++i) {
+    arrivals.push_back(7.5 * static_cast<double>(i));
+  }
+  const QueueStats piped = pipelined_queueing(*fx.eval, arrivals);
+
+  const PlannerReport report = Hetero2PipePlanner(*fx.eval).plan();
+  const exec::CompiledPlan compiled = exec::compile(report.plan, *fx.eval);
+  std::vector<SimTask> tasks = tasks_from_compiled(compiled);
+  for (SimTask& t : tasks) {
+    const std::size_t original = compiled.original_index[t.model_idx];
+    if (t.deps.empty()) t.arrival_ms = arrivals[original];
+  }
+  const Timeline timeline = simulate(fx.eval->soc(), tasks, {});
+  ASSERT_EQ(piped.completion_ms.size(), fx.models.size());
+  EXPECT_EQ(piped.makespan_ms, timeline.makespan_ms());
+  for (std::size_t slot = 0; slot < compiled.num_models; ++slot) {
+    const std::size_t original = compiled.original_index[slot];
+    double first_start = timeline.makespan_ms();
+    for (const TaskRecord& t : timeline.tasks) {
+      if (t.model_idx == slot && t.seq_in_model == 0) first_start = t.start_ms;
+    }
+    const double arrive = arrivals[original];
+    EXPECT_EQ(piped.completion_ms[original],
+              timeline.model_finish_ms(slot) - arrive);
+    EXPECT_EQ(piped.queueing_ms[original],
+              std::max(0.0, first_start - arrive));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "soc/soc.h"
+#include "soc/thermal.h"
+#include "test_helpers.h"
 
 namespace h2p {
 namespace {
@@ -83,6 +85,27 @@ TEST(Soc, KirinNpuIsStrongest) {
   };
   EXPECT_GT(npu_gflops(kirin), npu_gflops(sd870));
   EXPECT_GT(npu_gflops(sd870), npu_gflops(sd778));
+}
+
+TEST(Soc, FingerprintSurvivesCopies) {
+  const Soc soc = Soc::kirin990();
+  EXPECT_EQ(soc.fingerprint(),
+            "Kirin990|bus=14|cap=8.58993e+09|avail=2.68435e+09"
+            "|DaVinci-NPU:0:2000:25:8.38861e+06:0.1:4:0.5:2"
+            "|A76x4:1:110:12:2.09715e+06:0.02:1:0.05:5"
+            "|Mali-G76:2:140:13:2.09715e+06:0.12:2:0.3:4"
+            "|A55x4:3:45:6:524288:0.03:1:0.05:1.5");
+  const Soc copy = soc;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(copy.fingerprint(), soc.fingerprint());
+  Soc assigned = Soc::snapdragon870();
+  assigned = soc;
+  EXPECT_EQ(assigned.fingerprint(), soc.fingerprint());
+
+  const Soc derated = thermally_derated_bucket(soc, 2);
+  const Soc derated_copy = derated;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(derated_copy.fingerprint(), derated.fingerprint());
+  EXPECT_EQ(derated.fingerprint(), thermally_derated_bucket(soc, 2).fingerprint());
+  EXPECT_NE(derated.fingerprint(), soc.fingerprint());
 }
 
 TEST(Soc, DesktopCudaComparator) {

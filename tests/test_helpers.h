@@ -1,11 +1,25 @@
 #pragma once
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "core/bubbles.h"
+#include "models/layer.h"
 #include "models/model_zoo.h"
 #include "soc/soc.h"
+
+namespace h2p {
+
+// gtest names value-parameterized cases after the printed parameter.  Without
+// these overloads it prints a raw byte dump, heap pointers included, so the
+// test IDs that gtest_discover_tests records would change on every build.
+inline void PrintTo(const Soc& soc, std::ostream* os) { *os << soc.name(); }
+inline void PrintTo(const Layer& layer, std::ostream* os) {
+  *os << to_string(layer.kind);
+}
+
+}  // namespace h2p
 
 namespace h2p::testing_util {
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/trace.h"
 
 namespace h2p {
@@ -32,6 +34,22 @@ TEST(Timeline, ModelFinish) {
   const Timeline t = sample_timeline();
   EXPECT_DOUBLE_EQ(t.model_finish_ms(0), 25.0);
   EXPECT_DOUBLE_EQ(t.model_finish_ms(1), 30.0);
+}
+
+TEST(Timeline, ModelSpansMatchPerSlotScans) {
+  Timeline t = sample_timeline();
+  t.num_models = 3;                           // slot 2 has no tasks
+  t.tasks.push_back({3, 1, 1, 31.0, 33.0, 2.0});  // slot 3: no lead task
+  const std::vector<ModelSpan> spans = t.model_spans();
+  ASSERT_EQ(spans.size(), 4u);
+  for (std::size_t s = 0; s < spans.size(); ++s) {
+    EXPECT_EQ(spans[s].finish_ms, t.model_finish_ms(s)) << "slot " << s;
+  }
+  EXPECT_EQ(spans[0].lead_start_ms, 0.0);
+  EXPECT_EQ(spans[1].lead_start_ms, 15.0);
+  EXPECT_TRUE(std::isinf(spans[2].lead_start_ms));
+  EXPECT_TRUE(std::isinf(spans[3].lead_start_ms));
+  EXPECT_TRUE(Timeline{}.model_spans().empty());
 }
 
 TEST(Timeline, ProcIdleBetweenTasks) {
