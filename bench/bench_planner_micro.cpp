@@ -13,6 +13,8 @@
 //   ./build/bench/bench_planner_micro --benchmark_min_time=0.2 --json
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +35,7 @@
 #include "exec/compiled_plan.h"
 #include "models/model_zoo.h"
 #include "obs/metrics.h"
+#include "sim/fault_injector.h"
 #include "sim/online.h"
 #include "sim/pipeline_sim.h"
 #include "sim/pipeline_sim_reference.h"
@@ -491,6 +494,79 @@ BENCHMARK(BM_OnlineStream)
     ->Arg(16000)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
+
+/// The serving loop under weather faults: the same four scenes on the
+/// Snapdragon 870, 2000 Poisson requests at 6 req/s due 1 s after arrival,
+/// a closed thermal loop, deferring admission and drift tracking — the
+/// serve-weather setup — against a weather-only script of exactly
+/// `weather_events` events spread over the stream (each in force ~15% of
+/// its share of the span, serve-weather's duty cycle).  The fault-path DES,
+/// the availability probe, admission and the drift pass all query the
+/// script, so a per-query cost that grows with its length shows here as
+/// windows_per_s falling with `weather_events`.
+void BM_FaultedStream(benchmark::State& state) {
+  static const ModelId kScenes[4][4] = {
+      {ModelId::kYOLOv4, ModelId::kFaceNet, ModelId::kAgeGenderNet, ModelId::kViT},
+      {ModelId::kViT, ModelId::kGPT2Decoder, ModelId::kFaceNet, ModelId::kMobileNetV2},
+      {ModelId::kYOLOv4, ModelId::kBERT, ModelId::kMobileNetV2, ModelId::kSqueezeNet},
+      {ModelId::kResNet50, ModelId::kSqueezeNet, ModelId::kMobileNetV2, ModelId::kGoogLeNet},
+  };
+  constexpr std::size_t kRequests = 2000;
+  const auto weather_events = static_cast<std::size_t>(state.range(0));
+  const Soc soc = Soc::snapdragon870();
+  Rng rng(17);
+  std::vector<OnlineRequest> stream;
+  stream.reserve(kRequests);
+  double t = 0.0;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    t += -std::log(1.0 - rng.uniform()) * 1000.0 / 6.0;
+    OnlineRequest req;
+    req.model = &zoo_model(kScenes[(i / 4) % 4][i % 4]);
+    req.arrival_ms = t;
+    req.deadline_ms = t + 1000.0;
+    stream.push_back(req);
+  }
+  const double share_ms = t / static_cast<double>(weather_events);
+  std::vector<WeatherEvent> weather(weather_events);
+  for (WeatherEvent& w : weather) {
+    w.kind = static_cast<WeatherKind>(rng.uniform_int(0, 2));
+    w.begin_ms = rng.uniform(0.0, t);
+    w.duration_ms =
+        std::max(-0.15 * share_ms * std::log(1.0 - rng.uniform()), 5.0);
+    w.severity = rng.uniform(0.3, 0.9);
+  }
+  const FaultScript faults = FaultScript::with_weather(soc, std::move(weather));
+
+  OnlineOptions opts;
+  opts.replan_window = 4;
+  opts.warm_start = true;
+  opts.faults = &faults;
+  opts.thermal_loop = true;
+  opts.thermal.time_scale = 50.0;
+  opts.deadline_policy = DeadlinePolicy::kDefer;
+  opts.drift_tracking = true;
+  std::size_t windows = 0;
+  std::size_t replans = 0;
+  for (auto _ : state) {
+    const OnlineResult r = run_online(soc, stream, opts);
+    windows = r.windows.size();
+    replans = r.replans;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["fault_events"] = static_cast<double>(faults.events().size());
+  // More weather means more distinct environments to plan for: replans
+  // grow with the script by design, so they are reported beside the rate.
+  state.counters["replans"] = static_cast<double>(replans);
+  state.counters["windows_per_s"] = benchmark::Counter(
+      static_cast<double>(windows) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FaultedStream)
+    ->ArgName("weather_events")
+    ->Arg(60)
+    ->Arg(240)
+    ->Arg(960)
+    ->Unit(benchmark::kMillisecond);
 
 // ---- warm-start replanning --------------------------------------------------
 

@@ -15,15 +15,11 @@ namespace h2p {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kEdgeEps = FaultScript::kEdgeEps;
 
-/// Window-membership epsilon.  The DES lands its clock on window edges by
-/// accumulating dt steps, so a query a hair before an edge must resolve to
-/// the state *after* it; every membership test shares this tolerance.
-constexpr double kEdgeEps = 1e-9;
-
-bool covers(const FaultEvent& e, double t_ms) {
-  return t_ms >= e.begin_ms - kEdgeEps && t_ms < e.end_ms - kEdgeEps;
-}
+// FaultScript::down_ flags.
+constexpr std::uint8_t kDown = 1;
+constexpr std::uint8_t kPermanent = 2;
 
 }  // namespace
 
@@ -208,6 +204,81 @@ void FaultScript::normalize() {
               if (a.proc_idx != b.proc_idx) return a.proc_idx < b.proc_idx;
               return static_cast<int>(a.kind) < static_cast<int>(b.kind);
             });
+  build_index();
+}
+
+void FaultScript::build_index() {
+  bounds_.clear();
+  edges_.clear();
+  procs_.clear();
+  for (const FaultEvent& e : events_) {
+    // Window bounds exactly as a covers-test computes them:
+    // begin - eps <= t < end - eps.
+    bounds_.push_back(e.begin_ms - kEdgeEps);
+    edges_.push_back(e.begin_ms);
+    if (std::isfinite(e.end_ms)) {
+      bounds_.push_back(e.end_ms - kEdgeEps);
+      edges_.push_back(e.end_ms);
+    }
+    if (e.kind != FaultKind::kBusDegrade) procs_.push_back(e.proc_idx);
+  }
+  for (std::vector<double>* v : {&bounds_, &edges_}) {
+    std::sort(v->begin(), v->end());
+    v->erase(std::unique(v->begin(), v->end()), v->end());
+  }
+  std::sort(procs_.begin(), procs_.end());
+  procs_.erase(std::unique(procs_.begin(), procs_.end()), procs_.end());
+
+  // An event covers the segments from the one opening at its begin bound
+  // up to the one opening at its end bound.  Painting the events in
+  // events_ order multiplies every segment's factors in the order a scan
+  // over events_ would, so the products are bitwise equal to the scan's.
+  const std::size_t segments = bounds_.size() + 1;
+  const std::size_t K = procs_.size();
+  down_.assign(segments * K, 0);
+  slowdown_.assign(segments * K, 1.0);
+  down_mask_.assign(segments, 0);
+  bus_.assign(segments, 1.0);
+  for (const FaultEvent& e : events_) {
+    const std::size_t first = segment(e.begin_ms - kEdgeEps);
+    const std::size_t last =
+        std::isfinite(e.end_ms) ? segment(e.end_ms - kEdgeEps) : segments;
+    const std::size_t k = proc_slot(e.proc_idx);
+    for (std::size_t s = first; s < last; ++s) {
+      switch (e.kind) {
+        case FaultKind::kSlowdown:
+          slowdown_[s * K + k] *= e.factor;
+          break;
+        case FaultKind::kDropout:
+          down_[s * K + k] |= static_cast<std::uint8_t>(
+              std::isinf(e.end_ms) ? kDown | kPermanent : kDown);
+          if (e.proc_idx < 64) down_mask_[s] |= 1ull << e.proc_idx;
+          break;
+        case FaultKind::kBusDegrade:
+          bus_[s] *= e.factor;
+          break;
+      }
+    }
+  }
+  for (double& f : slowdown_) f = std::max(f, 0.05);
+  for (double& f : bus_) f = std::max(f, 0.05);
+}
+
+std::size_t FaultScript::segment(double t_ms) const {
+  // No event covers NaN or +inf (t < end - eps fails even for a permanent
+  // drop-out), so they resolve to the clear segment 0 — where a plain
+  // upper_bound would put them past every bound, inside permanent ones.
+  if (!(t_ms < kInf)) return 0;
+  return static_cast<std::size_t>(
+      std::upper_bound(bounds_.begin(), bounds_.end(), t_ms) -
+      bounds_.begin());
+}
+
+std::size_t FaultScript::proc_slot(std::size_t proc) const {
+  const auto it = std::lower_bound(procs_.begin(), procs_.end(), proc);
+  return it != procs_.end() && *it == proc
+             ? static_cast<std::size_t>(it - procs_.begin())
+             : procs_.size();
 }
 
 FaultScript FaultScript::sample(const Soc& soc, std::uint64_t seed,
@@ -278,43 +349,26 @@ FaultScript FaultScript::sample(const Soc& soc, std::uint64_t seed,
 }
 
 bool FaultScript::available(std::size_t proc, double t_ms) const {
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kDropout && e.proc_idx == proc && covers(e, t_ms)) {
-      return false;
-    }
-  }
-  return true;
+  const std::size_t k = proc_slot(proc);
+  if (k == procs_.size()) return true;
+  return (down_[segment(t_ms) * procs_.size() + k] & kDown) == 0;
 }
 
 bool FaultScript::permanently_down(std::size_t proc, double t_ms) const {
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kDropout && e.proc_idx == proc &&
-        std::isinf(e.end_ms) && covers(e, t_ms)) {
-      return true;
-    }
-  }
-  return false;
+  const std::size_t k = proc_slot(proc);
+  if (k == procs_.size()) return false;
+  return (down_[segment(t_ms) * procs_.size() + k] & kPermanent) != 0;
 }
 
 double FaultScript::slowdown(std::size_t proc, double t_ms) const {
-  double factor = 1.0;
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kSlowdown && e.proc_idx == proc && covers(e, t_ms)) {
-      factor *= e.factor;
-    }
-  }
-  return std::max(factor, 0.05);
+  const std::size_t k = proc_slot(proc);
+  if (k == procs_.size()) return 1.0;
+  return slowdown_[segment(t_ms) * procs_.size() + k];
 }
 
 double FaultScript::bus_factor(double t_ms) const {
   if (!has_bus_degrade_) return 1.0;
-  double factor = 1.0;
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kBusDegrade && covers(e, t_ms)) {
-      factor *= e.factor;
-    }
-  }
-  return std::max(factor, 0.05);
+  return bus_[segment(t_ms)];
 }
 
 std::uint64_t FaultScript::availability_mask(double t_ms,
@@ -322,37 +376,15 @@ std::uint64_t FaultScript::availability_mask(double t_ms,
   if (num_procs > 64) {
     throw std::invalid_argument("availability_mask: more than 64 processors");
   }
-  std::uint64_t mask = num_procs == 64 ? ~0ull : (1ull << num_procs) - 1;
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kDropout && e.proc_idx < num_procs &&
-        covers(e, t_ms)) {
-      mask &= ~(1ull << e.proc_idx);
-    }
-  }
-  return mask;
+  const std::uint64_t mask = num_procs == 64 ? ~0ull : (1ull << num_procs) - 1;
+  if (events_.empty()) return mask;
+  return mask & ~down_mask_[segment(t_ms)];
 }
 
 double FaultScript::next_change_after(double t_ms) const {
-  double next = kInf;
-  for (const FaultEvent& e : events_) {
-    if (e.begin_ms > t_ms + kEdgeEps) next = std::min(next, e.begin_ms);
-    if (std::isfinite(e.end_ms) && e.end_ms > t_ms + kEdgeEps) {
-      next = std::min(next, e.end_ms);
-    }
-  }
-  return next;
-}
-
-std::vector<double> FaultScript::edges() const {
-  std::vector<double> out;
-  out.reserve(events_.size() * 2);
-  for (const FaultEvent& e : events_) {
-    out.push_back(e.begin_ms);
-    if (std::isfinite(e.end_ms)) out.push_back(e.end_ms);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  const auto it =
+      std::upper_bound(edges_.begin(), edges_.end(), t_ms + kEdgeEps);
+  return it == edges_.end() ? kInf : *it;
 }
 
 Json fault_script_to_json(const FaultScript& script) {

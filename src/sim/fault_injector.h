@@ -151,6 +151,12 @@ struct FaultSamplerOptions {
 /// plan and statistic bit-identically, serial or async.
 class FaultScript {
  public:
+  /// Window-membership epsilon.  The DES lands its clock on window edges by
+  /// accumulating dt steps, so a query a hair before an edge must resolve to
+  /// the state *after* it: an event covers `t` when
+  /// `begin_ms - kEdgeEps <= t < end_ms - kEdgeEps`.
+  static constexpr double kEdgeEps = 1e-9;
+
   FaultScript() = default;
   explicit FaultScript(std::vector<FaultEvent> events);
   /// Events plus their (already expanded) weather provenance — the form the
@@ -177,6 +183,11 @@ class FaultScript {
     return weather_;
   }
   [[nodiscard]] bool empty() const { return events_.empty(); }
+
+  // Point queries.  Each is one binary search over the time index built at
+  // construction, so its cost does not grow with the number of events; the
+  // answers equal a scan over every event bit for bit, NaN and +-inf times
+  // included (no event covers those).
 
   /// True when no drop-out window covers `t_ms` on `proc`.  Slowdowns do
   /// not affect availability.
@@ -209,15 +220,35 @@ class FaultScript {
   /// fault state.
   [[nodiscard]] double next_change_after(double t_ms) const;
 
-  /// All finite window edges (begins and ends), sorted ascending.
-  [[nodiscard]] std::vector<double> edges() const;
+  /// All finite window edges (begins and ends), sorted ascending, unique.
+  [[nodiscard]] const std::vector<double>& edges() const { return edges_; }
 
  private:
   void normalize();
+  void build_index();
+  /// Index of the segment holding `t_ms`: segment s spans
+  /// [bounds_[s-1], bounds_[s]); segment 0 (before every event) is clear.
+  [[nodiscard]] std::size_t segment(double t_ms) const;
+  /// Column of `proc` in the per-segment tables; procs_.size() when no
+  /// drop-out or slowdown ever names it.
+  [[nodiscard]] std::size_t proc_slot(std::size_t proc) const;
 
   std::vector<FaultEvent> events_;  // sorted by (begin, proc, kind)
   std::vector<WeatherEvent> weather_;
   bool has_bus_degrade_ = false;
+
+  // Time index.  bounds_ holds every distinct `begin_ms - kEdgeEps` and
+  // finite `end_ms - kEdgeEps` (the values covers-tests compare against), so
+  // the fault state is constant inside each segment between two of them.
+  std::vector<double> bounds_;
+  std::vector<double> edges_;        // distinct raw begins and finite ends
+  std::vector<std::size_t> procs_;   // drop-out / slowdown procs, ascending
+  // Per segment s, per proc slot k at [s * procs_.size() + k]:
+  std::vector<std::uint8_t> down_;   // kDown | kPermanent
+  std::vector<double> slowdown_;     // clamped factor product, events_ order
+  // Per segment:
+  std::vector<std::uint64_t> down_mask_;  // bit p = proc p < 64 dropped out
+  std::vector<double> bus_;               // clamped bus factor product
 };
 
 /// JSON round-trip for scripted faults (`h2p_cli online --faults f.json`).

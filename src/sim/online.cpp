@@ -74,6 +74,49 @@ SocView make_view(const Soc& full, std::uint64_t mask, int bus_centi) {
                  std::move(kept)};
 }
 
+/// Lowest-index weather event covering `t` (begin <= t < begin + duration),
+/// -1 for clear skies: the answer of a scan over weather() in index order,
+/// for overlapping or out-of-order weather too, at one binary search.
+class WeatherIndex {
+ public:
+  explicit WeatherIndex(const std::vector<WeatherEvent>& weather) {
+    for (const WeatherEvent& we : weather) {
+      bounds_.push_back(we.begin_ms);
+      const double end = we.begin_ms + we.duration_ms;
+      if (std::isfinite(end)) bounds_.push_back(end);
+    }
+    std::sort(bounds_.begin(), bounds_.end());
+    bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
+    // Segment s spans [bounds_[s-1], bounds_[s]); weather w covers the
+    // segments from the one opening at its begin to the one opening at its
+    // end.  Painting in index order and keeping the first paint leaves the
+    // lowest covering index.
+    lowest_.assign(bounds_.size() + 1, -1);
+    for (std::size_t w = 0; w < weather.size(); ++w) {
+      const double end = weather[w].begin_ms + weather[w].duration_ms;
+      const std::size_t last =
+          std::isfinite(end) ? segment(end) : lowest_.size();
+      for (std::size_t s = segment(weather[w].begin_ms); s < last; ++s) {
+        if (lowest_[s] < 0) lowest_[s] = static_cast<int>(w);
+      }
+    }
+  }
+
+  [[nodiscard]] int covering(double t) const {
+    // Nothing covers NaN or +inf (t < end fails for every window).
+    return t < kInf ? lowest_[segment(t)] : -1;
+  }
+
+ private:
+  [[nodiscard]] std::size_t segment(double t) const {
+    return static_cast<std::size_t>(
+        std::upper_bound(bounds_.begin(), bounds_.end(), t) - bounds_.begin());
+  }
+
+  std::vector<double> bounds_;
+  std::vector<int> lowest_;  // per segment
+};
+
 }  // namespace
 
 OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream,
@@ -181,10 +224,17 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   // Priced on the current bucket's *derated* SoC: a throttled chip slows
   // every layer, so admission must not promise deadlines the derated
   // hardware cannot keep.  (The shared-bus factor only dilates further, so
-  // leaving it out keeps this a valid lower bound.)
+  // leaving it out keeps this a valid lower bound.)  A pure function of
+  // (model, mask, bucket), memoized for the run: admission asks per request.
   std::unordered_map<std::size_t, CostModel> bucket_costs;
+  std::map<std::tuple<const Model*, std::uint64_t, std::size_t>, double>
+      lower_bounds;
   const auto chain_lower_bound_ms = [&](const Model& model, std::uint64_t mask,
                                         std::size_t bucket) -> double {
+    const auto key = std::make_tuple(&model, mask, bucket);
+    if (const auto memo = lower_bounds.find(key); memo != lower_bounds.end()) {
+      return memo->second;
+    }
     auto it = bucket_costs.find(bucket);
     if (it == bucket_costs.end()) {
       it = bucket_costs.emplace(bucket, CostModel(base_soc(bucket))).first;
@@ -200,9 +250,13 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         if (!proc.supports(layer.kind)) continue;
         best = std::min(best, lb_cost.layer_time_ms(layer, proc));
       }
-      if (!std::isfinite(best)) return kInf;
+      if (!std::isfinite(best)) {
+        total = kInf;
+        break;
+      }
       total += best;
     }
+    lower_bounds.emplace(key, total);
     return total;
   };
 
@@ -288,8 +342,19 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   double last_thermal_ms = 0.0;
   // Weather onsets surface in the obs stream the first time a probe runs at
   // or after their begin (the loop observes the present, never the future).
-  std::vector<bool> weather_seen(
-      faults != nullptr ? faults->weather().size() : 0, false);
+  // A cursor over the weather in begin order finds them; each probe then
+  // emits its batch in index order.
+  static const std::vector<WeatherEvent> no_weather;
+  const std::vector<WeatherEvent>& weather =
+      faults != nullptr ? faults->weather() : no_weather;
+  std::vector<std::size_t> weather_by_begin(weather.size());
+  std::iota(weather_by_begin.begin(), weather_by_begin.end(), 0);
+  std::stable_sort(weather_by_begin.begin(), weather_by_begin.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return weather[a].begin_ms < weather[b].begin_ms;
+                   });
+  std::size_t weather_cursor = 0;
+  std::vector<std::size_t> onsets;
 
   while (!pending.empty()) {
     pump_prefetch();
@@ -367,21 +432,23 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       bus_centi = std::clamp(bus_centi, 5, 100);
     }
     believed_bus_centi = bus_centi;
-    if (faults != nullptr) {
-      for (std::size_t w = 0; w < weather_seen.size(); ++w) {
-        const WeatherEvent& we = faults->weather()[w];
-        if (weather_seen[w] || we.begin_ms > t) continue;
-        weather_seen[w] = true;
-        ++result.weather_onsets;
-        c_weather.inc();
-        tracer.instant("online.weather_onset",
-                       {{"weather", static_cast<double>(w)},
-                        {"kind", static_cast<double>(we.kind)},
-                        {"severity", we.severity}});
-        log.info("online.weather_onset", {{"kind", to_string(we.kind)},
-                                          {"t_ms", t},
-                                          {"severity", we.severity}});
-      }
+    onsets.clear();
+    while (weather_cursor < weather_by_begin.size() &&
+           !(weather[weather_by_begin[weather_cursor]].begin_ms > t)) {
+      onsets.push_back(weather_by_begin[weather_cursor++]);
+    }
+    std::sort(onsets.begin(), onsets.end());
+    for (const std::size_t w : onsets) {
+      const WeatherEvent& we = weather[w];
+      ++result.weather_onsets;
+      c_weather.inc();
+      tracer.instant("online.weather_onset",
+                     {{"weather", static_cast<double>(w)},
+                      {"kind", static_cast<double>(we.kind)},
+                      {"severity", we.severity}});
+      log.info("online.weather_onset", {{"kind", to_string(we.kind)},
+                                        {"t_ms", t},
+                                        {"severity", we.severity}});
     }
 
     // ---- 3. Deadline admission -----------------------------------------
@@ -832,6 +899,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   // runs produce the identical alert sequence.
   if (options.drift_tracking) {
     obs::DriftTracker tracker(options.drift);
+    const WeatherIndex weather_index(weather);
     for (std::size_t idx = 0;
          idx < drift_records.size() && idx < result.timeline.tasks.size();
          ++idx) {
@@ -840,16 +908,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       rec.executed_start_ms = exec_rec.start_ms;
       rec.executed_finish_ms = exec_rec.end_ms;
       rec.migrated = exec_rec.proc_idx != rec.proc;
-      if (faults != nullptr) {
-        for (std::size_t w = 0; w < faults->weather().size(); ++w) {
-          const WeatherEvent& we = faults->weather()[w];
-          if (we.begin_ms <= exec_rec.start_ms &&
-              exec_rec.start_ms < we.begin_ms + we.duration_ms) {
-            rec.weather_idx = static_cast<int>(w);
-            break;
-          }
-        }
-      }
+      rec.weather_idx = weather_index.covering(exec_rec.start_ms);
       tracker.observe_always(rec);
       WindowStats& ws = result.windows[rec.window];
       ++ws.drift_slices;

@@ -13,8 +13,12 @@ int Rng::uniform_int(int lo, int hi) {
 }
 
 double Rng::gaussian(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  // Standard draw, then scaled: std::normal_distribution requires
+  // stddev > 0, and callers ask for zero noise.  This is the distribution's
+  // own final step (z * stddev + mean) on the same engine draws, so every
+  // stddev > 0 result is unchanged bit for bit.
+  std::normal_distribution<double> dist(0.0, 1.0);
+  return dist(engine_) * stddev + mean;
 }
 
 bool Rng::chance(double p) {

@@ -421,6 +421,56 @@ TEST(ObsDrift, ThermalStormTriggersDriftAlert) {
   EXPECT_GT(covered, 0u);
 }
 
+TEST(ObsDrift, WeatherIdxIsTheLowestCoveringWeather) {
+  // Weather listed out of time order, with overlaps: [0] covers [300, 700),
+  // [1] covers [0, 500), [2] covers [600, 10600).  A record's weather_idx is
+  // the first weather (in index order) whose window holds its executed
+  // start — 1 before 300, 0 over [300, 700), 2 after.
+  const Soc soc = Soc::kirin990();
+  std::vector<WeatherEvent> weather(3);
+  weather[0].kind = WeatherKind::kThermalStorm;
+  weather[0].begin_ms = 300.0;
+  weather[0].duration_ms = 400.0;
+  weather[1].kind = WeatherKind::kBackgroundBurst;
+  weather[1].begin_ms = 0.0;
+  weather[1].duration_ms = 500.0;
+  weather[2].kind = WeatherKind::kThermalStorm;
+  weather[2].begin_ms = 600.0;
+  weather[2].duration_ms = 1e4;
+  const FaultScript script = FaultScript::with_weather(soc, weather);
+
+  std::vector<OnlineRequest> stream;
+  for (int i = 0; i < 16; ++i) {
+    const ModelId id = i % 2 == 0 ? ModelId::kSqueezeNet : ModelId::kMobileNetV2;
+    stream.push_back({&zoo_model(id), 80.0 * i});
+  }
+  OnlineOptions opts;
+  opts.replan_window = 2;
+  opts.faults = &script;
+  opts.drift_tracking = true;
+  const OnlineResult r = run_online(soc, stream, opts);
+
+  ASSERT_EQ(r.slice_records.size(), r.timeline.tasks.size());
+  std::vector<std::size_t> seen(weather.size() + 1, 0);
+  for (std::size_t i = 0; i < r.slice_records.size(); ++i) {
+    const double start = r.timeline.tasks[i].start_ms;
+    int expected = -1;
+    for (std::size_t w = 0; w < weather.size(); ++w) {
+      if (weather[w].begin_ms <= start &&
+          start < weather[w].begin_ms + weather[w].duration_ms) {
+        expected = static_cast<int>(w);
+        break;
+      }
+    }
+    EXPECT_EQ(r.slice_records[i].weather_idx, expected) << "record " << i;
+    ++seen[static_cast<std::size_t>(expected + 1)];
+  }
+  // Every weather event is some record's answer, so the overlap and the
+  // out-of-order listing were both exercised; all three onsets surfaced.
+  for (std::size_t w = 0; w < weather.size(); ++w) EXPECT_GT(seen[w + 1], 0u);
+  EXPECT_EQ(r.weather_onsets, weather.size());
+}
+
 // ---- fleet snapshot aggregation --------------------------------------------
 
 TEST(FleetMerge, RegistrySnapshotsSumCountersAndHistograms) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -260,6 +261,10 @@ struct SocCase {
   const char* name;
   Soc (*make)();
 };
+
+// Names the case in test IDs; gtest's default byte dump would print the two
+// pointers, which move with every build.
+void PrintTo(const SocCase& c, std::ostream* os) { *os << c.name; }
 
 class SimdEquivalence : public ::testing::TestWithParam<SocCase> {};
 
